@@ -306,17 +306,6 @@ void BM_DegradedRandRead4K(::benchmark::State& state) {
       static_cast<double>(vol.Redundancy().reconstructed_units);
 }
 
-// Remount wall-clock vs device fullness and checkpoint interval: how
-// long the emulator takes (in host time) to run the full power-cut
-// recovery pipeline — torn-block re-erase, OOB scan, L2P rebuild,
-// write-pointer reconciliation — on a device preconditioned to
-// 25/50/75/100% of its zones. With checkpoint_interval=0 (L2P log and
-// checkpointing off) the OOB scan covers every used block, so wall-clock
-// per remount grows roughly linearly with fullness. With an interval K,
-// the device folds the mapping into a durable image every K flushed log
-// entries during preconditioning and the mount scan shrinks to the
-// post-checkpoint tail — remount cost should then track K, not fullness
-// (the O(1) claim this series demonstrates). Reported as remounts_per_s
 // ZoneCache data path: zipfian 4 KiB-object gets (90%) and puts against
 // a cache mounted on the device, journal in two conventional zones. The
 // gate metric is cache_gets_per_s — wall-clock Get operations per second
@@ -363,6 +352,17 @@ void BM_CacheRandGet4K(::benchmark::State& state) {
   state.counters["zipf_theta_pct"] = static_cast<double>(theta_pct);
 }
 
+// Remount wall-clock vs device fullness and checkpoint interval: how
+// long the emulator takes (in host time) to run the full power-cut
+// recovery pipeline — torn-block re-erase, OOB scan, L2P rebuild,
+// write-pointer reconciliation — on a device preconditioned to
+// 25/50/75/100% of its zones. With checkpoint_interval=0 (L2P log and
+// checkpointing off) the OOB scan covers every used block, so wall-clock
+// per remount grows roughly linearly with fullness. With an interval K,
+// the device folds the mapping into a durable image every K flushed log
+// entries during preconditioning and the mount scan shrinks to the
+// post-checkpoint tail — remount cost should then track K, not fullness
+// (the O(1) claim this series demonstrates). Reported as remounts_per_s
 // (wall-clock rate) plus the *simulated* remount latency sim_remount_ms;
 // there is deliberately no sim_ios_per_s counter — that metric is the
 // compare_bench.py throughput gate, and remount has its own.

@@ -13,10 +13,16 @@
 #      libbenchmark* flavor, not this repo's build, so it cannot serve
 #      as the provenance check.)
 #
+# It also owns --benchmark_min_time: libbenchmark before 1.8 parses the
+# value as a bare double and rejects "0.2s" as an unrecognized flag, while
+# 1.8 and later want the unit suffix. MIN_TIME takes a plain number of
+# seconds and is passed in whichever form the linked library accepts.
+#
 # Usage:
 #   bench/run_bench.sh [out.json]          # default: BENCH_emulator_throughput.json
 #   BUILD_DIR=build-rel bench/run_bench.sh # use/configure a different build tree
-#   BENCH_ARGS="--benchmark_min_time=0.2s" bench/run_bench.sh  # extra harness args
+#   MIN_TIME=0.2 bench/run_bench.sh        # minimum seconds per benchmark row
+#   BENCH_ARGS="--benchmark_filter=Degraded" bench/run_bench.sh  # extra harness args
 set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
@@ -33,7 +39,21 @@ if [ "$build_type" != "Release" ]; then
   exit 1
 fi
 
+bench="$BUILD/bench/bench_emulator_throughput"
+min_time_args=()
+if [ -n "${MIN_TIME:-}" ]; then
+  if ! [[ "$MIN_TIME" =~ ^[0-9]+([.][0-9]+)?$ ]]; then
+    echo "run_bench.sh: MIN_TIME='$MIN_TIME' must be a plain number of seconds" >&2
+    exit 1
+  fi
+  if "$bench" --benchmark_min_time="${MIN_TIME}s" --benchmark_list_tests >/dev/null 2>&1; then
+    min_time_args=(--benchmark_min_time="${MIN_TIME}s")
+  else
+    min_time_args=(--benchmark_min_time="$MIN_TIME")
+  fi
+fi
+
 # shellcheck disable=SC2086  # BENCH_ARGS is intentionally word-split
-"$BUILD/bench/bench_emulator_throughput" \
-  --benchmark_out="$OUT" --benchmark_out_format=json ${BENCH_ARGS:-}
+"$bench" --benchmark_out="$OUT" --benchmark_out_format=json \
+  ${min_time_args[@]+"${min_time_args[@]}"} ${BENCH_ARGS:-}
 echo "run_bench.sh: wrote $OUT (CMAKE_BUILD_TYPE=$build_type)"

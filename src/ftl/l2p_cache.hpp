@@ -7,22 +7,36 @@
 // granularities coarse-to-fine, and a hit computes the final PPA by
 // adding the offset of the original LPA inside the unit.
 //
-// Organization: entries are hashed into buckets (the paper's bucketed
-// search) with a global LRU chain for eviction. Entries inserted as
-// *pinned* (the §IV-D PINNED design) are exempt from eviction; when an
-// aggregated entry is generated, the finer-granularity entries it covers
-// are evicted to reclaim capacity.
+// Organization: entries are found through a per-granularity index (the
+// emulator's stand-in for the paper's bucketed search) and evicted along
+// a global LRU chain. Entries inserted as *pinned* (the §IV-D PINNED
+// design) are exempt from eviction; when an aggregated entry is
+// generated, the finer-granularity entries it covers are evicted to
+// reclaim capacity.
 //
 // Storage: entries live in a flat slot array sized to the configured
-// capacity; the LRU chain is intrusive (prev/next slot indices inside
-// each entry) and the hash index is an open-addressing table of slot
-// indices (linear probing, backward-shift deletion). Lookups, inserts
-// and evictions touch contiguous memory and never allocate after
-// construction — this sits on the per-IO hot path of every read.
+// capacity, threaded on a circular LRU chain of slot ids kept in a
+// parallel array (the head is the most recent entry; its prev is the
+// least recent). The index is direct, not hashed: per granularity, a
+// directory keyed by `index >> 12` names a leaf of 4096 slot ids, and a
+// leaf is allocated on the first insert into its range, so index memory
+// follows the key range in use rather than the device size. A probe is
+// a directory load and a leaf load; each slot remembers its index cell,
+// so removing an entry is one store. Apart from a new leaf, nothing
+// allocates after construction — this sits on the per-IO hot path of
+// every read.
+//
+// Prefetch runs (Legacy's sequential prefetch, §IV-C) are installed by
+// InsertPageRun. Evicting the least recent entry and re-inserting into
+// its slot as the most recent one only moves the circular chain's head,
+// so a run that replaces the LRU tail rewrites no chain link: the
+// victims' chain segment becomes the run's, in order.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/fastdiv.hpp"
@@ -82,6 +96,14 @@ class L2PCache {
   /// unpinned entry is dropped.
   void Insert(const L2pKey& key, Ppn base_ppn, bool pinned = false);
 
+  /// Insert the unpinned page entries first_lpn, first_lpn+1, ... with
+  /// base PPNs `ppns`, in order. The resulting state and stats are
+  /// exactly those of one Insert(page key, ppn, false) per entry: a
+  /// resident key is refreshed (and unpinned), a resident key evicted
+  /// earlier in the run comes back as a new insertion, and pinned
+  /// entries are skipped when picking victims.
+  void InsertPageRun(Lpn first_lpn, std::span<const Ppn> ppns);
+
   void Erase(const L2pKey& key);
 
   /// Evict all finer-granularity entries whose range is covered by the
@@ -103,32 +125,54 @@ class L2PCache {
   /// Key of the unit containing `lpn` at granularity `g`.
   L2pKey KeyFor(MapGranularity g, Lpn lpn) const;
 
+  /// Visit every resident entry as fn(key, base_ppn, pinned), most
+  /// recently used first — the reverse of eviction order (diagnostics).
+  template <typename Fn>
+  void ForEachMostRecentFirst(Fn&& fn) const {
+    std::uint32_t s = lru_head_;
+    for (std::size_t n = size_; n > 0; --n, s = links_[s].next) {
+      fn(L2pKey{static_cast<MapGranularity>(slots_[s].key & 3), slots_[s].key >> 2},
+         slots_[s].base_ppn, slots_[s].pinned);
+    }
+  }
+
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
 
   struct Slot {
     std::uint64_t key = 0;  // encoded L2pKey
     Ppn base_ppn;
-    std::uint32_t prev = kNil;  // intrusive LRU chain (head = most recent)
-    std::uint32_t next = kNil;
+    std::uint32_t cell = 0;  // the key's index cell: leaf << kLeafBits | offset
     bool pinned = false;
   };
+  /// A slot's place on the circular LRU chain. Kept apart from the
+  /// slots so that walking the chain touches 8 bytes per entry.
+  struct Link {
+    std::uint32_t prev = kNil;  // more recent neighbour; the head's is the LRU entry
+    std::uint32_t next = kNil;  // less recent neighbour; the LRU entry's is the head
+  };
 
-  static std::uint64_t HashKey(std::uint64_t key);
-  /// Bucket of `key` in table_, or the first empty bucket of its probe
-  /// sequence. `*found` says which.
-  std::size_t FindBucket(std::uint64_t key, bool* found) const;
-  /// Backward-shift deletion at `bucket` (no tombstones).
-  void TableErase(std::size_t bucket);
+  static constexpr unsigned kLeafBits = 12;
+  static constexpr std::uint64_t kLeafSize = 1ull << kLeafBits;
+  static constexpr std::uint64_t kLeafMask = kLeafSize - 1;
+
+  /// Slot holding `key`, or kNil.
+  std::uint32_t Find(const L2pKey& key) const;
+  /// Index cell of `key` (leaf << kLeafBits | offset), allocating its
+  /// leaf on first use.
+  std::uint32_t CellFor(const L2pKey& key);
+  std::uint32_t& Cell(std::uint32_t cell) {
+    return leaves_[cell >> kLeafBits][cell & kLeafMask];
+  }
+
+  /// One Insert, with the key's index cell already located.
+  void Install(std::uint32_t cell, const L2pKey& key, Ppn base_ppn, bool pinned);
 
   void LruUnlink(std::uint32_t slot);
   void LruPushFront(std::uint32_t slot);
   void LruMoveToFront(std::uint32_t slot);
-
-  void EvictOne();
-  /// Remove `slot` (already located at `bucket`) from table, LRU and the
-  /// slot free list.
-  void RemoveSlot(std::uint32_t slot, std::size_t bucket);
+  /// The least recently used unpinned entry, or kNil.
+  std::uint32_t LruVictim() const;
 
   L2pCacheConfig cfg_;
   std::uint64_t max_entries_;
@@ -136,11 +180,14 @@ class L2PCache {
   FastDiv div_lpns_per_chunk_;
   FastDiv div_lpns_per_zone_;
   std::vector<Slot> slots_;             // flat entry storage
+  std::vector<Link> links_;             // LRU chain, indexed like slots_
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::uint32_t> table_;    // open addressing: slot index or kNil
-  std::uint64_t table_mask_ = 0;        // table_.size() - 1 (power of two)
-  std::uint32_t lru_head_ = kNil;       // most recently used
-  std::uint32_t lru_tail_ = kNil;       // least recently used
+  // Direct index: dir_[gran][index >> kLeafBits] is a leaf number (or
+  // kNil); leaves_[leaf] holds kLeafSize slot ids (kNil = absent). Leaves
+  // are allocated one by one and never move.
+  std::vector<std::uint32_t> dir_[3];
+  std::vector<std::unique_ptr<std::uint32_t[]>> leaves_;
+  std::uint32_t lru_head_ = kNil;       // most recently used; its prev is the LRU
   std::size_t size_ = 0;
   std::size_t pinned_count_ = 0;
   L2pCacheStats stats_;

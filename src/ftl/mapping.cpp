@@ -62,11 +62,6 @@ void MappingTable::Unmap(Lpn lpn) {
   e = MapEntry{};
 }
 
-MapEntry MappingTable::Get(Lpn lpn) const {
-  assert(lpn.value() < geo_.num_lpns);
-  return entries_[static_cast<std::size_t>(lpn.value())];
-}
-
 void MappingTable::SetAggregated(Lpn start, std::uint64_t count, MapGranularity gran) {
   assert(start.value() + count <= geo_.num_lpns);
   for (std::uint64_t i = 0; i < count; ++i) {

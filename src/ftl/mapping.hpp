@@ -13,6 +13,7 @@
 // number of flash reads on an L2P cache miss.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -82,7 +83,10 @@ class MappingTable {
   /// Drop the mapping (zone reset / TRIM).
   void Unmap(Lpn lpn);
 
-  MapEntry Get(Lpn lpn) const;
+  MapEntry Get(Lpn lpn) const {
+    assert(lpn.value() < geo_.num_lpns);
+    return entries_[static_cast<std::size_t>(lpn.value())];
+  }
 
   /// Stamp the map bits of `count` entries starting at `start` as
   /// aggregated at `gran`. The caller has already verified physical

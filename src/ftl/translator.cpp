@@ -1,5 +1,6 @@
 #include "ftl/translator.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -147,11 +148,12 @@ Result<TranslateOutcome> Translator::MissPinnedOrPage(Lpn lpn, TranslateOutcome 
   stats_.map_fetches += 1;
   out.gran = MapGranularity::kPage;
   out.ppn = table_.Get(lpn).ppn;
-  cache_.Insert(cache_.KeyFor(MapGranularity::kPage, lpn), out.ppn, /*pinned=*/false);
 
+  // The missed entry, then — under sequential prefetch (Legacy, §IV-C) —
+  // the mapped entries that follow it on the already-fetched map page,
+  // at no extra flash cost. The cache installs them as one run.
+  run_.assign(1, out.ppn);
   if (cfg_.prefetch_window > 0) {
-    // Sequential prefetch (Legacy, §IV-C): pull following entries from the
-    // already-fetched map page at no extra flash cost.
     const std::uint64_t per_page = table_.geometry().entries_per_map_page;
     const std::uint64_t page_end = (lpn.value() / per_page + 1) * per_page;
     const std::uint64_t end = std::min({lpn.value() + 1 + cfg_.prefetch_window, page_end,
@@ -159,9 +161,10 @@ Result<TranslateOutcome> Translator::MissPinnedOrPage(Lpn lpn, TranslateOutcome 
     for (std::uint64_t l = lpn.value() + 1; l < end; ++l) {
       const MapEntry e = table_.Get(Lpn(l));
       if (!e.mapped()) break;
-      cache_.Insert(cache_.KeyFor(MapGranularity::kPage, Lpn(l)), e.ppn, false);
+      run_.push_back(e.ppn);
     }
   }
+  cache_.InsertPageRun(lpn, run_);
   return out;
 }
 

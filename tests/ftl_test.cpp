@@ -1,7 +1,17 @@
-// Unit tests for the FTL: mapping table (map bits), L2P cache (buckets,
-// LRU, pinning) and the translator's three search strategies.
+// Unit tests for the FTL: mapping table (map bits), L2P cache (index,
+// LRU, pinning, prefetch runs checked against a per-entry reference) and
+// the translator's three search strategies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <string>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "ftl/l2p_cache.hpp"
 #include "ftl/mapping.hpp"
 #include "ftl/translator.hpp"
@@ -267,6 +277,354 @@ TEST(L2PCacheTest, HeavyChurnKeepsHashIndexConsistent) {
   }
 }
 
+// --- l2p cache: differential test against a per-entry reference ---
+
+/// The L2P cache's semantics, one entry at a time, over std::list + map:
+/// front = most recently used; eviction takes the last unpinned entry.
+/// InsertPageRun is the per-entry Insert loop the cache must match.
+class ReferenceL2p {
+ public:
+  explicit ReferenceL2p(const L2pCacheConfig& cfg) : cfg_(cfg), max_(cfg.MaxEntries()) {}
+
+  std::optional<Ppn> Lookup(const L2pKey& key) {
+    ++stats_.lookups;
+    auto it = index_.find(key.Encoded());
+    if (it == index_.end()) return std::nullopt;
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->ppn;
+  }
+
+  void Insert(const L2pKey& key, Ppn ppn, bool pinned) {
+    if (max_ == 0) return;
+    auto it = index_.find(key.Encoded());
+    if (it != index_.end()) {
+      Entry& e = *it->second;
+      if (e.pinned && !pinned) --pinned_;
+      if (!e.pinned && pinned) ++pinned_;
+      e.ppn = ppn;
+      e.pinned = pinned;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (lru_.size() >= max_) {
+      if (pinned_ >= max_ && !pinned) {
+        ++stats_.rejected_insertions;
+        return;
+      }
+      for (auto r = lru_.rbegin(); r != lru_.rend(); ++r) {
+        if (r->pinned) continue;
+        index_.erase(r->key);
+        lru_.erase(std::next(r).base());
+        ++stats_.evictions;
+        break;
+      }
+      if (lru_.size() >= max_) {
+        ++stats_.rejected_insertions;
+        return;
+      }
+    }
+    lru_.push_front(Entry{key.Encoded(), ppn, pinned});
+    index_[key.Encoded()] = lru_.begin();
+    if (pinned) ++pinned_;
+    ++stats_.insertions;
+  }
+
+  void InsertPageRun(Lpn first_lpn, const std::vector<Ppn>& ppns) {
+    for (std::size_t i = 0; i < ppns.size(); ++i) {
+      Insert(L2pKey{MapGranularity::kPage, first_lpn.value() + i}, ppns[i], false);
+    }
+  }
+
+  void Erase(const L2pKey& key) {
+    auto it = index_.find(key.Encoded());
+    if (it == index_.end()) return;
+    if (it->second->pinned) --pinned_;
+    lru_.erase(it->second);
+    index_.erase(it);
+  }
+
+  void EvictCoveredBy(const L2pKey& key) {
+    if (key.gran == MapGranularity::kPage) return;
+    const std::uint64_t unit =
+        key.gran == MapGranularity::kZone ? cfg_.lpns_per_zone : cfg_.lpns_per_chunk;
+    const std::uint64_t start = key.index * unit;
+    if (key.gran == MapGranularity::kZone) {
+      for (std::uint64_t c = 0; c < unit / cfg_.lpns_per_chunk; ++c) {
+        Erase(L2pKey{MapGranularity::kChunk, start / cfg_.lpns_per_chunk + c});
+      }
+    }
+    for (std::uint64_t i = 0; i < unit; ++i) Erase(L2pKey{MapGranularity::kPage, start + i});
+  }
+
+  void InvalidateLpnRange(Lpn start, std::uint64_t count) {
+    const std::uint64_t lo = start.value();
+    const std::uint64_t hi = lo + count;
+    for (std::uint64_t l = lo; l < hi; ++l) Erase(L2pKey{MapGranularity::kPage, l});
+    for (std::uint64_t c = lo / cfg_.lpns_per_chunk; c * cfg_.lpns_per_chunk < hi; ++c) {
+      Erase(L2pKey{MapGranularity::kChunk, c});
+    }
+    for (std::uint64_t z = lo / cfg_.lpns_per_zone; z * cfg_.lpns_per_zone < hi; ++z) {
+      Erase(L2pKey{MapGranularity::kZone, z});
+    }
+  }
+
+  std::size_t size() const { return lru_.size(); }
+  std::size_t pinned_count() const { return pinned_; }
+  const L2pCacheStats& stats() const { return stats_; }
+
+  /// (encoded key, ppn, pinned), most recently used first.
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, bool>> Entries() const {
+    std::vector<std::tuple<std::uint64_t, std::uint64_t, bool>> out;
+    for (const Entry& e : lru_) out.emplace_back(e.key, e.ppn.value(), e.pinned);
+    return out;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t key;
+    Ppn ppn;
+    bool pinned;
+  };
+  L2pCacheConfig cfg_;
+  std::uint64_t max_;
+  std::list<Entry> lru_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  std::size_t pinned_ = 0;
+  L2pCacheStats stats_;
+};
+
+std::vector<std::tuple<std::uint64_t, std::uint64_t, bool>> CacheEntries(const L2PCache& c) {
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, bool>> out;
+  c.ForEachMostRecentFirst([&](const L2pKey& key, Ppn ppn, bool pinned) {
+    out.emplace_back(key.Encoded(), ppn.value(), pinned);
+  });
+  return out;
+}
+
+/// Resident keys, PPNs, recency (hence eviction) order, pins, size and
+/// every stats field agree; the index finds exactly the resident keys.
+::testing::AssertionResult SameState(const L2PCache& c, const ReferenceL2p& ref,
+                                     const std::vector<L2pKey>& probe_keys) {
+  const auto got = CacheEntries(c);
+  const auto want = ref.Entries();
+  if (got != want) {
+    return ::testing::AssertionFailure()
+           << "entries differ: " << got.size() << " vs " << want.size() << " resident";
+  }
+  if (c.size() != ref.size()) return ::testing::AssertionFailure() << "size";
+  if (c.pinned_count() != ref.pinned_count()) {
+    return ::testing::AssertionFailure() << "pinned_count " << c.pinned_count() << " vs "
+                                         << ref.pinned_count();
+  }
+  const L2pCacheStats& a = c.stats();
+  const L2pCacheStats& b = ref.stats();
+  if (a.lookups != b.lookups || a.hits != b.hits || a.insertions != b.insertions ||
+      a.evictions != b.evictions || a.rejected_insertions != b.rejected_insertions) {
+    return ::testing::AssertionFailure()
+           << "stats: insertions " << a.insertions << "/" << b.insertions << " evictions "
+           << a.evictions << "/" << b.evictions << " rejected " << a.rejected_insertions
+           << "/" << b.rejected_insertions << " lookups " << a.lookups << "/" << b.lookups
+           << " hits " << a.hits << "/" << b.hits;
+  }
+  for (const auto& [key, ppn, pinned] : want) {
+    const L2pKey k{static_cast<MapGranularity>(key & 3), key >> 2};
+    if (c.Peek(k) != std::optional<Ppn>(Ppn{ppn})) {
+      return ::testing::AssertionFailure() << "index lost resident key " << key;
+    }
+  }
+  for (const L2pKey& k : probe_keys) {
+    const bool resident = std::any_of(want.begin(), want.end(), [&](const auto& e) {
+      return std::get<0>(e) == k.Encoded();
+    });
+    if (c.Peek(k).has_value() != resident) {
+      return ::testing::AssertionFailure() << "index disagrees on key " << k.Encoded();
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct DiffCase {
+  std::uint64_t capacity;
+  std::uint64_t base;  // first page key of the key universe
+  std::uint64_t seed;
+};
+
+/// Random op streams over a small key universe (so runs overlap resident
+/// keys and evict each other), compared after every op.
+void RunDifferential(const DiffCase& dc) {
+  L2pCacheConfig cfg = SmallCacheCfg(dc.capacity);
+  cfg.lpns_per_chunk = 4;  // small units: aggregates cover a handful of pages
+  cfg.lpns_per_zone = 16;
+  L2PCache cache(cfg);
+  ReferenceL2p ref(cfg);
+  Rng rng(dc.seed);
+  const std::uint64_t universe = 3 * dc.capacity + 24;
+  auto page = [&] { return dc.base + rng.NextBelow(universe); };
+  auto aggregate = [&] {
+    const bool zone = rng.NextBool(0.5);
+    const std::uint64_t unit = zone ? cfg.lpns_per_zone : cfg.lpns_per_chunk;
+    return L2pKey{zone ? MapGranularity::kZone : MapGranularity::kChunk, page() / unit};
+  };
+  std::vector<L2pKey> probe_keys;
+  for (std::uint64_t i = 0; i < universe + 8; ++i) {
+    probe_keys.push_back({MapGranularity::kPage, dc.base + i});
+    probe_keys.push_back({MapGranularity::kChunk, (dc.base + i) / cfg.lpns_per_chunk});
+    probe_keys.push_back({MapGranularity::kZone, (dc.base + i) / cfg.lpns_per_zone});
+  }
+  std::uint64_t next_ppn = 1;
+  for (int op = 0; op < 1500; ++op) {
+    const std::uint64_t dice = rng.NextBelow(100);
+    std::string what;
+    if (dice < 40) {
+      // A run: sometimes starting at the LRU entry's key (a resident run
+      // key at the tail), sometimes longer than the whole cache.
+      std::uint64_t first = page();
+      const auto entries = CacheEntries(cache);
+      if (!entries.empty() && rng.NextBool(0.3) && (std::get<0>(entries.back()) & 3) == 0) {
+        first = std::get<0>(entries.back()) >> 2;
+      }
+      const std::uint64_t len = rng.NextBelow(rng.NextBool(0.2) ? 2 * dc.capacity + 8 : 12);
+      std::vector<Ppn> ppns;
+      for (std::uint64_t i = 0; i < len; ++i) ppns.push_back(Ppn{next_ppn++});
+      cache.InsertPageRun(Lpn{first}, ppns);
+      ref.InsertPageRun(Lpn{first}, ppns);
+      what = "InsertPageRun(" + std::to_string(first) + ", " + std::to_string(len) + ")";
+    } else if (dice < 55) {
+      const L2pKey k{MapGranularity::kPage, page()};
+      cache.Insert(k, Ppn{next_ppn}, false);
+      ref.Insert(k, Ppn{next_ppn++}, false);
+      what = "Insert";
+    } else if (dice < 63) {
+      const L2pKey k = rng.NextBool(0.7) ? aggregate() : L2pKey{MapGranularity::kPage, page()};
+      cache.Insert(k, Ppn{next_ppn}, true);
+      ref.Insert(k, Ppn{next_ppn++}, true);
+      what = "Insert(pinned)";
+    } else if (dice < 78) {
+      const L2pKey k = rng.NextBool(0.8) ? L2pKey{MapGranularity::kPage, page()} : aggregate();
+      const auto a = cache.Lookup(k);
+      const auto b = ref.Lookup(k);
+      ASSERT_EQ(a, b) << "op " << op << " Lookup";
+      what = "Lookup";
+    } else if (dice < 88) {
+      const L2pKey k = rng.NextBool(0.8) ? L2pKey{MapGranularity::kPage, page()} : aggregate();
+      cache.Erase(k);
+      ref.Erase(k);
+      what = "Erase";
+    } else if (dice < 94) {
+      const L2pKey k = aggregate();
+      cache.EvictCoveredBy(k);
+      ref.EvictCoveredBy(k);
+      what = "EvictCoveredBy";
+    } else {
+      const Lpn start{page()};
+      const std::uint64_t count = 1 + rng.NextBelow(20);
+      cache.InvalidateLpnRange(start, count);
+      ref.InvalidateLpnRange(start, count);
+      what = "InvalidateLpnRange";
+    }
+    ASSERT_TRUE(SameState(cache, ref, probe_keys))
+        << "after op " << op << " " << what << " (capacity " << dc.capacity << ", base "
+        << dc.base << ", seed " << dc.seed << ")";
+  }
+}
+
+TEST(L2PCacheDifferentialTest, RandomOpStreamsMatchPerEntryReference) {
+  // Key universes at 0, straddling the first leaf boundary (4096), and
+  // far out (directory growth).
+  for (std::uint64_t capacity : {0, 1, 2, 3, 5, 8, 16, 33}) {
+    for (std::uint64_t base : {0ull, 4096ull - 40, 1ull << 22}) {
+      for (std::uint64_t seed : {1, 2, 3}) {
+        RunDifferential(DiffCase{capacity, base, seed * 1000 + capacity});
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(L2PCacheDifferentialTest, RunOverlappingResidentKeysAtTheTail) {
+  L2pCacheConfig cfg = SmallCacheCfg(6);
+  L2PCache cache(cfg);
+  ReferenceL2p ref(cfg);
+  // Recency (most..least): 5 4 3 2 1 0 — keys 0 and 1 sit at the tail.
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    cache.Insert({MapGranularity::kPage, i}, Ppn{100 + i});
+    ref.Insert({MapGranularity::kPage, i}, Ppn{100 + i}, false);
+  }
+  const std::vector<Ppn> run = {Ppn{1}, Ppn{2}, Ppn{3}};
+  cache.InsertPageRun(Lpn{6}, run);  // 6, 7, 8 evict 0, 1, 2: tail is now 3
+  ref.InsertPageRun(Lpn{6}, run);
+  ASSERT_TRUE(SameState(cache, ref, {}));
+  // Run 2..6 over recency 8 7 6 5 4 3: new key 2 evicts 3 before key 3's
+  // turn, key 3 (now new) evicts 4, and so on — every run key, resident
+  // before the run or not, ends up a new insertion.
+  const std::vector<Ppn> run2 = {Ppn{7}, Ppn{8}, Ppn{9}, Ppn{10}, Ppn{11}};
+  cache.InsertPageRun(Lpn{2}, run2);
+  ref.InsertPageRun(Lpn{2}, run2);
+  ASSERT_TRUE(SameState(cache, ref, {}));
+  EXPECT_EQ(cache.stats().insertions, 6u + 3u + 5u);
+  EXPECT_EQ(cache.stats().evictions, 3u + 5u);
+  EXPECT_EQ(cache.Peek({MapGranularity::kPage, 3}).value(), Ppn{8});
+  EXPECT_FALSE(cache.Peek({MapGranularity::kPage, 7}).has_value());
+}
+
+TEST(L2PCacheDifferentialTest, RunLongerThanCapacityKeepsTheTail) {
+  L2pCacheConfig cfg = SmallCacheCfg(4);
+  L2PCache cache(cfg);
+  ReferenceL2p ref(cfg);
+  cache.Insert({MapGranularity::kZone, 0}, Ppn{1}, /*pinned=*/true);
+  ref.Insert({MapGranularity::kZone, 0}, Ppn{1}, true);
+  std::vector<Ppn> run;
+  for (std::uint64_t i = 0; i < 11; ++i) run.push_back(Ppn{50 + i});
+  cache.InsertPageRun(Lpn{100}, run);
+  ref.InsertPageRun(Lpn{100}, run);
+  ASSERT_TRUE(SameState(cache, ref, {}));
+  // The pin survives; the 3 unpinned slots hold the run's last 3 keys.
+  EXPECT_TRUE(cache.Peek({MapGranularity::kZone, 0}).has_value());
+  EXPECT_EQ(cache.stats().evictions, 11u - 3u);
+  EXPECT_TRUE(cache.Peek({MapGranularity::kPage, 110}).has_value());
+  EXPECT_FALSE(cache.Peek({MapGranularity::kPage, 107}).has_value());
+}
+
+TEST(L2PCacheDifferentialTest, ZeroCapacityRunIsANoOp) {
+  L2PCache cache(SmallCacheCfg(0));
+  const std::vector<Ppn> run = {Ppn{1}, Ppn{2}};
+  cache.InsertPageRun(Lpn{0}, run);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  EXPECT_EQ(cache.stats().rejected_insertions, 0u);
+}
+
+TEST(L2PCacheDifferentialTest, AllPinnedCacheRejectsUntilARefreshUnpins) {
+  L2pCacheConfig cfg = SmallCacheCfg(3);
+  L2PCache cache(cfg);
+  ReferenceL2p ref(cfg);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    cache.Insert({MapGranularity::kPage, 10 + i}, Ppn{i}, /*pinned=*/true);
+    ref.Insert({MapGranularity::kPage, 10 + i}, Ppn{i}, true);
+  }
+  // 8, 9 rejected; 10 refreshed and unpinned; 11 refreshed; 12 refreshed;
+  // 13, 14 evict the now-unpinned entries from the tail.
+  std::vector<Ppn> run;
+  for (std::uint64_t i = 0; i < 7; ++i) run.push_back(Ppn{70 + i});
+  cache.InsertPageRun(Lpn{8}, run);
+  ref.InsertPageRun(Lpn{8}, run);
+  ASSERT_TRUE(SameState(cache, ref, {}));
+  EXPECT_EQ(cache.stats().rejected_insertions, 2u);
+  EXPECT_EQ(cache.pinned_count(), 0u);
+  // A run into a cache pinned full with no overlap is rejected whole.
+  L2PCache full(cfg);
+  ReferenceL2p full_ref(cfg);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    full.Insert({MapGranularity::kZone, i}, Ppn{i}, true);
+    full_ref.Insert({MapGranularity::kZone, i}, Ppn{i}, true);
+  }
+  full.InsertPageRun(Lpn{0}, run);
+  full_ref.InsertPageRun(Lpn{0}, run);
+  ASSERT_TRUE(SameState(full, full_ref, {}));
+  EXPECT_EQ(full.stats().rejected_insertions, 7u);
+}
+
 // --- translator ---
 
 /// Resolver over a flat imaginary layout: aggregated unit i maps lpn to
@@ -402,6 +760,33 @@ TEST_F(TranslatorTest, PrefetchStopsAtMapPageBoundary) {
   auto n = tr.Translate(Lpn{4096});
   ASSERT_TRUE(n.ok());
   EXPECT_FALSE(n.value().cache_hit);
+}
+
+TEST_F(TranslatorTest, PrefetchMissMatchesPerEntryInsertLoop) {
+  PopulateMixed();
+  // Resident before the miss: a pinned aggregate and page keys inside
+  // the prefetch run, one of them at the LRU tail.
+  ReferenceL2p ref(SmallCacheCfg(64));
+  for (std::uint64_t l : {8200ull, 8192ull + 700, 8195ull}) {
+    cache_.Insert({MapGranularity::kPage, l}, Ppn{l});
+    ref.Insert({MapGranularity::kPage, l}, Ppn{l}, false);
+  }
+  cache_.Insert({MapGranularity::kZone, 3}, Ppn{9}, /*pinned=*/true);
+  ref.Insert({MapGranularity::kZone, 3}, Ppn{9}, true);
+
+  Translator tr = Make(L2pSearchStrategy::kBitmap, /*hybrid=*/false, /*prefetch=*/1023);
+  auto r = tr.Translate(Lpn{8193});
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r.value().cache_hit);
+  // The per-entry loop the translator used to run: the missed entry,
+  // then each following mapped entry of the map page, one Insert each.
+  (void)ref.Lookup({MapGranularity::kPage, 8193});
+  for (std::uint64_t l = 8193; l < 8193 + 1024; ++l) {
+    ref.Insert({MapGranularity::kPage, l}, table_.Get(Lpn{l}).ppn, false);
+  }
+  EXPECT_TRUE(SameState(cache_, ref, {}));
+  EXPECT_EQ(cache_.stats().insertions, 3u + 1u + 1024u - 2u);
+  EXPECT_EQ(cache_.stats().evictions, cache_.stats().insertions - 64u);
 }
 
 TEST_F(TranslatorTest, StatsAccumulate) {
