@@ -24,6 +24,11 @@ struct GeometryCase {
   L2pSearchStrategy strategy;
 };
 
+// Print a case by its name. gtest's default byte dump would include the
+// `name` pointer, whose value moves with address-space randomisation, so
+// the listed test names would differ from one run to the next.
+void PrintTo(const GeometryCase& p, std::ostream* os) { *os << p.name; }
+
 ConZoneConfig MakeConfig(const GeometryCase& p) {
   ConZoneConfig cfg = ConZoneConfig::PaperConfig();
   cfg.geometry.channels = p.channels;
